@@ -18,7 +18,8 @@ from ..errors import ExperimentError
 from ..network.topology import Topology
 from ..power.router_power import RouterPowerProfile
 from ..traffic.base import make_traffic
-from .runner import build_simulator, run_simulation
+from .backends import default_backend
+from .runner import build_simulator
 from .scales import DEFAULT_SCALE, ExperimentScale
 from .sweep import (
     SweepPoint,
@@ -450,15 +451,18 @@ def fig15_pareto_curve(
 ) -> FigureResult:
     """Figure 15: latency vs power savings across thresholds at one rate."""
     settings = settings if settings is not None else TABLE2_SETTINGS
-    rows = []
-    points = {}
-    for name, thresholds in settings.items():
-        config = scale.simulation(
+    configs = [
+        scale.simulation(
             rate,
             dvs=DVSControlConfig(policy="history", thresholds=thresholds),
             workload_overrides={"average_tasks": 100},
         )
-        result = run_simulation(config)
+        for thresholds in settings.values()
+    ]
+    results = default_backend().map_configs(configs)
+    rows = []
+    points = {}
+    for (name, thresholds), result in zip(settings.items(), results, strict=True):
         points[name] = result
         rows.append(
             (
@@ -493,7 +497,7 @@ def _transition_sweep(
 ) -> FigureResult:
     """Shared machinery for Figures 16 and 17: one curve per link variant.
 
-    All curves run as ONE batched campaign (:func:`named_sweeps`), so a
+    All curves run as ONE campaign (:func:`named_sweeps`), so a
     process pool parallelizes across variants and the sweep cache
     checkpoints the whole figure incrementally.
     """
@@ -669,13 +673,15 @@ def workload_comparison(
         "uniform": {"kind": "uniform"},
         "permutation": {"kind": "permutation", "permutation": "transpose"},
     }
+    configs = [
+        scale.simulation(rate, workload_overrides={"average_tasks": 100, **overrides})
+        for overrides in workloads.values()
+    ]
     rows = []
     results = {}
-    for name, overrides in workloads.items():
-        config = scale.simulation(
-            rate, workload_overrides={"average_tasks": 100, **overrides}
-        )
-        result = run_simulation(config)
+    for name, result in zip(
+        workloads, default_backend().map_configs(configs), strict=True
+    ):
         results[name] = result
         rows.append(
             (
@@ -739,14 +745,18 @@ def ablation_ewma_weight(
     weights: tuple[float, ...] = (1.0, 3.0, 7.0, 15.0),
 ) -> FigureResult:
     """Sensitivity to the EWMA weight W (paper fixes W=3 for shift-add)."""
-    rows = []
-    for weight in weights:
-        config = scale.simulation(
+    configs = [
+        scale.simulation(
             rate,
             dvs=DVSControlConfig(policy="history", ewma_weight=weight),
             workload_overrides={"average_tasks": 100},
         )
-        result = run_simulation(config)
+        for weight in weights
+    ]
+    rows = []
+    for weight, result in zip(
+        weights, default_backend().map_configs(configs), strict=True
+    ):
         rows.append(
             (
                 weight,
@@ -770,14 +780,18 @@ def ablation_history_window(
     windows: tuple[int, ...] = (50, 200, 800),
 ) -> FigureResult:
     """Sensitivity to the history window H (paper fixes H=200)."""
-    rows = []
-    for window in windows:
-        config = scale.simulation(
+    configs = [
+        scale.simulation(
             rate,
             dvs=DVSControlConfig(policy="history", history_window=window),
             workload_overrides={"average_tasks": 100},
         )
-        result = run_simulation(config)
+        for window in windows
+    ]
+    rows = []
+    for window, result in zip(
+        windows, default_backend().map_configs(configs), strict=True
+    ):
         rows.append(
             (
                 window,
@@ -827,7 +841,7 @@ def ablation_ideal_links(
             workload_overrides={"average_tasks": 100},
             link_overrides=link_overrides or {},
         )
-    # One batched campaign: both curves parallelize and checkpoint together.
+    # One campaign: both curves parallelize and checkpoint together.
     sweeps = named_sweeps(named, rates)
     rows = [
         (

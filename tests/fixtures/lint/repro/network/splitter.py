@@ -1,9 +1,8 @@
 """R6 (deepcopy flavor): engine deep-copied inside a # repro-hot split.
 
-Divergence splits sit on the sweep hot path; ``copy.deepcopy`` walks the
-*entire* object graph — immutable config, topology, route memos and all —
-every time a class splits. The snapshot protocol
-(``repro.network.snapshot.fast_clone``) copies only live mutable state.
+``copy.deepcopy`` walks the *entire* object graph — immutable config,
+topology, route memos and all — on every call. A hot path that needs a
+copy of an engine should copy only the mutable fields.
 """
 
 import copy

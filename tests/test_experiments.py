@@ -8,9 +8,13 @@ import dataclasses
 
 import pytest
 
+from repro.core.thresholds import TABLE2_SETTINGS
+from repro.harness import cache as cache_mod
+from repro.harness.cache import SweepCache
 from repro.harness.experiments import (
     FigureResult,
     ablation_ewma_weight,
+    ablation_history_window,
     fig10_dvs_vs_nodvs,
     fig15_pareto_curve,
     fig16_voltage_transition_sweep,
@@ -18,6 +22,7 @@ from repro.harness.experiments import (
     fig8_spatial_variance,
     fig9_temporal_variance,
     utilization_profiles,
+    workload_comparison,
 )
 from repro.harness.scales import SMOKE_SCALE
 
@@ -79,10 +84,7 @@ class TestComparisons:
         assert summary.average_presaturation_increase > 0.0
 
     def test_fig15_pareto(self):
-        settings = {
-            "I": __import__("repro.core.thresholds", fromlist=["TABLE2_SETTINGS"]).TABLE2_SETTINGS["I"],
-            "VI": __import__("repro.core.thresholds", fromlist=["TABLE2_SETTINGS"]).TABLE2_SETTINGS["VI"],
-        }
+        settings = {name: TABLE2_SETTINGS[name] for name in ("I", "VI")}
         figure = fig15_pareto_curve(TINY, rate=0.8, settings=settings)
         assert len(figure.rows) == 2
         savings = {row[0]: row[4] for row in figure.rows}
@@ -99,3 +101,47 @@ class TestAblation:
         figure = ablation_ewma_weight(TINY, rate=0.6, weights=(1.0, 3.0))
         assert len(figure.rows) == 2
         assert all(row[1] > 0 or row[1] != row[1] for row in figure.rows)
+
+
+@pytest.fixture
+def fresh_cache(tmp_path):
+    cache = SweepCache(tmp_path)
+    cache_mod.set_cache(cache)
+    yield cache
+    cache_mod.reset_cache()
+
+
+class TestLoopFiguresUseTheBackend:
+    """Figures that simulate a fixed list of points go through the
+    execution backend, so they get the sweep cache, ``--resume`` and
+    ``REPRO_PROCESSES`` like every sweep-based figure."""
+
+    def test_fig15_replays_every_point_from_the_cache(self, fresh_cache):
+        first = fig15_pareto_curve(TINY, rate=0.8)
+        assert (fresh_cache.hits, fresh_cache.misses) == (0, len(TABLE2_SETTINGS))
+        second = fig15_pareto_curve(TINY, rate=0.8)
+        assert fresh_cache.hits == len(TABLE2_SETTINGS)
+        assert fresh_cache.misses == len(TABLE2_SETTINGS)
+        assert second.rows == first.rows
+
+    @pytest.mark.parametrize(
+        "figure, points",
+        [
+            (lambda: workload_comparison(TINY, rate=0.6), 3),
+            (lambda: ablation_ewma_weight(TINY, rate=0.6, weights=(1.0, 3.0)), 2),
+            (lambda: ablation_history_window(TINY, rate=0.6, windows=(50, 200)), 2),
+        ],
+        ids=["workload_comparison", "ablation_ewma_weight", "ablation_history_window"],
+    )
+    def test_ablations_replay_from_the_cache(self, fresh_cache, figure, points):
+        first = figure()
+        second = figure()
+        assert (fresh_cache.hits, fresh_cache.misses) == (points, points)
+        assert second.rows == first.rows
+
+    def test_pooled_fig15_equals_serial(self, monkeypatch):
+        settings = {name: TABLE2_SETTINGS[name] for name in ("I", "VI")}
+        serial = fig15_pareto_curve(TINY, rate=0.8, settings=settings)
+        monkeypatch.setenv("REPRO_PROCESSES", "2")
+        pooled = fig15_pareto_curve(TINY, rate=0.8, settings=settings)
+        assert pooled.rows == serial.rows

@@ -13,8 +13,8 @@ Also pins the serial-equals-parallel acceptance criterion:
 ``compare_policies`` point for point.
 
 The energy pins were re-captured when the channel accumulators moved to
-integer femtojoules and window utilization became reset-based (the
-batched kernel's class re-merging needs both) — a pure quantization
+integer femtojoules and window utilization became reset-based (exact,
+base-independent energy and utilization accounting) — a pure quantization
 shift; every behavioral pin (packet counts, latency distribution,
 transition count, drops) was bit-identical across that change.
 """

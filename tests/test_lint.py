@@ -71,7 +71,7 @@ class TestFixtureViolations:
         assert errors == []
         # R6 appears three times: the container-allocation flavor
         # (contracts.py), the numpy-temporary flavor
-        # (repro/network/batched.py), and the deepcopy flavor
+        # (repro/network/vector_lane.py), and the deepcopy flavor
         # (repro/network/splitter.py).
         assert sorted(v.rule for v in violations) == sorted(
             list(RULES) + ["R6", "R6"]
@@ -324,7 +324,7 @@ class TestRuleR6:
                 mask = np.zeros(raw.shape)
                 return mask
             """
-        violations = _lint_source(source, "src/repro/network/batched.py")
+        violations = _lint_source(source, "src/repro/network/lane.py")
         assert [v.rule for v in violations] == ["R6"]
         assert "np.zeros" in violations[0].message
 
@@ -335,7 +335,7 @@ class TestRuleR6:
             def lane(self, raw):  # repro-hot
                 return np.multiply(self.weight, raw)
             """
-        violations = _lint_source(source, "src/repro/network/batched.py")
+        violations = _lint_source(source, "src/repro/network/lane.py")
         assert [v.rule for v in violations] == ["R6"]
         assert "without out=" in violations[0].message
 
@@ -348,7 +348,7 @@ class TestRuleR6:
                 np.take(self.pred, self.idx, axis=0, out=self.rows)
                 return self.scratch
             """
-        assert _lint_source(source, "src/repro/network/batched.py") == []
+        assert _lint_source(source, "src/repro/network/lane.py") == []
 
     def test_deepcopy_flagged_with_snapshot_advice(self):
         source = """
@@ -358,10 +358,10 @@ class TestRuleR6:
                 clone = copy.deepcopy(self.engine)
                 return clone
             """
-        violations = _lint_source(source, "src/repro/network/batched.py")
+        violations = _lint_source(source, "src/repro/network/lane.py")
         assert [v.rule for v in violations] == ["R6"]
         assert "copy.deepcopy()" in violations[0].message
-        assert "fast_clone" in violations[0].message
+        assert "copy only the mutable fields" in violations[0].message
         assert "'split'" in violations[0].message
 
     def test_bare_deepcopy_name_also_flagged(self):
@@ -371,7 +371,7 @@ class TestRuleR6:
             def split(self, members):  # repro-hot
                 return deepcopy(self.engine)
             """
-        violations = _lint_source(source, "src/repro/network/batched.py")
+        violations = _lint_source(source, "src/repro/network/lane.py")
         assert [v.rule for v in violations] == ["R6"]
         assert "copy.deepcopy()" in violations[0].message
 
@@ -382,7 +382,7 @@ class TestRuleR6:
             def setup(self):
                 return copy.deepcopy(self.engine)
             """
-        assert _lint_source(source, "src/repro/network/batched.py") == []
+        assert _lint_source(source, "src/repro/network/lane.py") == []
 
     def test_shallow_copy_not_flagged(self):
         source = """
@@ -391,7 +391,7 @@ class TestRuleR6:
             def split(self, members):  # repro-hot
                 self.cursor = copy.copy(self.cursor)
             """
-        assert _lint_source(source, "src/repro/network/batched.py") == []
+        assert _lint_source(source, "src/repro/network/lane.py") == []
 
     def test_numpy_in_unmarked_function_ignored(self):
         source = """
@@ -400,7 +400,7 @@ class TestRuleR6:
             def setup(self, shape):
                 return np.zeros(shape)
             """
-        assert _lint_source(source, "src/repro/network/batched.py") == []
+        assert _lint_source(source, "src/repro/network/lane.py") == []
 
 
 class TestRuleR7:
@@ -886,6 +886,28 @@ class TestRuleR11:
             in violations[0].message
         )
 
+    def test_mutation_reachable_through_super_init_flagged(self):
+        source = """
+            _LOADED = []
+
+            class Base:
+                def __init__(self, config):
+                    _LOADED.append(config)
+
+            class Child(Base):
+                def __init__(self, config):
+                    super().__init__(config)
+
+            def run_point(config):
+                return Child(config)
+            """
+        violations = _lint_source(source, "src/repro/harness/x.py")
+        assert [v.rule for v in violations] == ["R11"]
+        assert (
+            "repro.harness.x.Child.__init__ -> repro.harness.x.Base.__init__"
+            in violations[0].message
+        )
+
     def test_global_statement_store_flagged(self):
         source = """
             _COUNT = 0
@@ -1018,16 +1040,11 @@ class TestMutationCatches:
     """Seed realistic bugs into *real* repo modules; the lint must bite."""
 
     def test_seeded_fj_plus_mw_addition_caught(self):
-        path = "src/repro/network/batched.py"
+        path = "src/repro/core/dvs_link.py"
         source = (REPO_ROOT / path).read_text(encoding="utf-8")
-        anchor = "energy[0, j] = dvs.total_energy_fj"
-        assert anchor in source, "mutation anchor moved; update the test"
-        mutated = source.replace(
-            anchor,
-            "energy[0, j] = dvs.total_energy_fj"
-            " + channel.leak_power_mw",
-            1,
-        )
+        anchor = "return self.link_energy_fj + self.transition_energy_fj"
+        assert source.count(anchor) == 1, "mutation anchor moved; update the test"
+        mutated = source.replace(anchor, anchor + " + self.leak_power_mw", 1)
         clean = _lint_source(source, path)
         assert [v for v in clean if v.rule == "R10"] == []
         violations = _lint_source(mutated, path)
@@ -1036,25 +1053,25 @@ class TestMutationCatches:
         assert "femtojoules + milliwatts" in r10[0].message
 
     def test_seeded_global_mutation_in_worker_caught(self):
-        path = "src/repro/harness/backends.py"
+        path = "src/repro/harness/resilience.py"
         source = (REPO_ROOT / path).read_text(encoding="utf-8")
-        anchor = "    incidents: list[PointFailure] = []\n"
+        anchor = "    return [run_point(config, policy) for config in configs]\n"
         assert source.count(anchor) == 1, "mutation anchor moved; update the test"
         mutated = (
             source.replace(
                 anchor,
-                anchor + "    _COMPLETED_BATCHES.append(len(configs))\n",
+                "    _COMPLETED_CHUNKS.append(len(configs))\n" + anchor,
                 1,
             )
-            + "\n_COMPLETED_BATCHES = []\n"
+            + "\n_COMPLETED_CHUNKS = []\n"
         )
         clean = _lint_source(source, path)
         assert [v for v in clean if v.rule == "R11"] == []
         violations = _lint_source(mutated, path)
         r11 = [v for v in violations if v.rule == "R11"]
         assert len(r11) == 1
-        assert "_COMPLETED_BATCHES" in r11[0].message
-        assert "run_config_batch" in r11[0].message
+        assert "_COMPLETED_CHUNKS" in r11[0].message
+        assert "run_chunk" in r11[0].message
 
 
 class TestBaselineWorkflow:
