@@ -1,4 +1,4 @@
-"""R11: worker-isolation for the process-pool and distributed backends.
+"""R11: worker-isolation for the process-pool backend.
 
 The sweep harness ships work to pool workers by pickling configs and
 replaying them in a fresh interpreter. That contract is invisible to
@@ -7,13 +7,13 @@ per-function lint rules, and it has bitten this repo before (the
 machine-checked, in two parts:
 
 **Global reachability.** Starting from the worker entry points
-(:data:`WORKER_ENTRY_POINTS`: ``run_point``, ``run_chunk``,
-``run_worker_chunk``), walk the project call graph and flag every
-reachable function that stores a ``global`` or mutates a module-level
-mutable container. A worker that writes process-global state produces
-results that depend on what else ran in that worker — exactly the
-cross-talk the pool backend's determinism guarantee forbids. Findings
-carry the shortest call chain from the entry point.
+(:data:`WORKER_ENTRY_POINTS`: ``run_point`` and ``run_chunk``), walk the
+project call graph and flag every reachable function that stores a
+``global`` or mutates a module-level mutable container. A worker that
+writes process-global state produces results that depend on what else
+ran in that worker — exactly the cross-talk the pool backend's
+determinism guarantee forbids. Findings carry the shortest call chain
+from the entry point.
 
 **Picklability by construction.** For the pickled class set — dataclasses
 whose name ends in ``Config`` plus every class defined under
@@ -43,12 +43,7 @@ from .model import (
 )
 
 #: Functions treated as worker entry points (matched by unqualified name).
-#: ``run_worker_chunk`` is the distributed fabric's work unit
-#: (:mod:`repro.harness.distributed.worker`) — remote workers must obey
-#: the same isolation contract as pool workers.
-WORKER_ENTRY_POINTS = (
-    "run_point", "run_chunk", "run_worker_chunk",
-)
+WORKER_ENTRY_POINTS = ("run_point", "run_chunk")
 
 #: Method names that mutate their receiver in place.
 MUTATOR_METHODS = frozenset(

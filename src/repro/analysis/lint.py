@@ -80,11 +80,10 @@ Interprocedural rules (see their modules for the full story):
     unconverted assignment in ``core/`` and ``power/``.
 
 ``R11`` worker-isolation (:mod:`repro.analysis.isolation`)
-    Worker entry points (``run_point``, ``run_chunk``,
-    ``run_worker_chunk``) must not reach mutable module globals, and
-    pickled config/source classes must be picklable by construction (no
-    generator-typed fields, no generator instance state, no lambda
-    defaults).
+    Worker entry points (``run_point``, ``run_chunk``) must not reach
+    mutable module globals, and pickled config/source classes must be
+    picklable by construction (no generator-typed fields, no generator
+    instance state, no lambda defaults).
 
 Suppressions and the baseline
     Append ``# repro-lint: ignore[R2]`` (or ``ignore[R1,R4]``) to the

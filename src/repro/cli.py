@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands::
+Six subcommands::
 
     python -m repro describe                    # static tables and models
     python -m repro policies                    # registered DVS policies
@@ -8,15 +8,6 @@ Eight subcommands::
     python -m repro sweep --rates 0.3,0.9,1.5   # DVS vs non-DVS comparison
     python -m repro pareto --rates 0.9          # cross-policy frontier
     python -m repro figure fig10 --scale smoke  # regenerate a paper figure
-    python -m repro worker --port 8751          # join a distributed sweep
-    python -m repro cache-server /path/store    # shared result store
-
-Distributed sweeps: ``repro sweep --backend distributed --workers 4``
-spawns a loopback worker fleet for the run; with ``--workers 0`` the
-coordinator waits for externally started ``repro worker`` processes
-(point them at the coordinator's ``--dist-port``). ``repro
-cache-server`` serves a shared result store other hosts consult via the
-``REPRO_RESULT_STORE`` environment variable.
 
 All heavy lifting lives in the library; the CLI only parses arguments,
 calls the same functions the benchmarks use, and prints the rendered
@@ -29,6 +20,7 @@ before the parser is built show up everywhere automatically.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable
 
@@ -140,24 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated offered rates")
     sweep.add_argument("--scale", default=None)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--processes", type=int, default=1,
-                       help="worker processes for the sweep (1 = serial)")
-    _add_distributed_options(sweep)
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="ignore the on-disk sweep result cache")
-    sweep.add_argument("--resume", action="store_true",
-                       help="resume an interrupted campaign: requires the sweep "
-                       "cache, replays checkpointed points, recomputes only "
-                       "the missing ones")
-    sweep.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="attempts per point before it counts as failed "
-                       "(default 2: one retry with backoff)")
-    sweep.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-point wall-clock budget; exceeding it fails "
-                       "the attempt (retried like any other failure)")
-    sweep.add_argument("--keep-going", action="store_true",
-                       help="degrade to partial results plus a failure summary "
-                       "instead of aborting when points fail")
+    _add_campaign_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     pareto = sub.add_parser(
@@ -171,52 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: every registered policy)")
     pareto.add_argument("--scale", default=None)
     pareto.add_argument("--seed", type=int, default=1)
-    pareto.add_argument("--processes", type=int, default=1,
-                        help="worker processes for the campaign (1 = serial)")
-    _add_distributed_options(pareto)
-    pareto.add_argument("--no-cache", action="store_true",
-                        help="ignore the on-disk sweep result cache")
-    pareto.add_argument("--resume", action="store_true",
-                        help="resume an interrupted campaign from the sweep "
-                        "cache, recomputing only the missing points")
-    pareto.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="attempts per point before it counts as failed")
-    pareto.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-point wall-clock budget")
-    pareto.add_argument("--keep-going", action="store_true",
-                        help="degrade to partial results plus a failure "
-                        "summary instead of aborting when points fail")
+    _add_campaign_options(pareto)
     pareto.add_argument("--json", default=None, metavar="PATH",
                         help="write the full campaign (points + frontier) to PATH")
     pareto.add_argument("--csv", default=None, metavar="PATH",
                         help="write the campaign as flat CSV to PATH")
     pareto.set_defaults(func=cmd_pareto)
-
-    worker = sub.add_parser(
-        "worker", help="join a distributed sweep as a remote worker"
-    )
-    worker.add_argument("--host", default="127.0.0.1",
-                        help="coordinator host to connect to")
-    worker.add_argument("--port", type=int, required=True,
-                        help="coordinator port (the sweep's --dist-port)")
-    worker.add_argument("--worker-id", default=None,
-                        help="stable identity for logs and the coordinator "
-                        "(default: worker-<pid>)")
-    worker.add_argument("--heartbeat", type=float, default=0.25,
-                        metavar="SECONDS", help="heartbeat interval")
-    worker.add_argument("--quiet", action="store_true",
-                        help="suppress per-event progress on stderr")
-    worker.set_defaults(func=cmd_worker)
-
-    cache_server = sub.add_parser(
-        "cache-server", help="serve a shared sweep result store over HTTP"
-    )
-    cache_server.add_argument("root", help="directory holding the store entries")
-    cache_server.add_argument("--host", default="127.0.0.1",
-                              help="bind address (default loopback; the store "
-                              "trusts its network)")
-    cache_server.add_argument("--port", type=int, default=8750)
-    cache_server.set_defaults(func=cmd_cache_server)
 
     figure = sub.add_parser("figure", help="regenerate a paper figure/table")
     figure.add_argument("name", choices=sorted(FIGURES))
@@ -335,14 +270,22 @@ def _cache_stats_line() -> str | None:
     return None
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.no_cache:
+def _honours_no_cache(
+    command: Callable[[argparse.Namespace], int],
+) -> Callable[[argparse.Namespace], int]:
+    """Run *command* with the sweep cache switched off under ``--no-cache``."""
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        if not args.no_cache:
+            return command(args)
         sweep_cache.set_cache(None)
         try:
-            return _cmd_sweep(args)
+            return command(args)
         finally:
             sweep_cache.reset_cache()
-    return _cmd_sweep(args)
+
+    return run
 
 
 def _parse_rates(raw: str) -> tuple[float, ...]:
@@ -356,39 +299,29 @@ def _parse_rates(raw: str) -> tuple[float, ...]:
     return rates
 
 
-def _fabric_progress(line: str) -> None:
-    """Live fabric events (registrations, losses, steals) on stderr."""
-    print(f"[distributed] {line}", file=sys.stderr)
-
-
-def _add_distributed_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=("local", "distributed"),
-                        default="local",
-                        help="execution backend: local (default) or the "
-                        "fault-tolerant distributed fabric")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="with --backend distributed: spawn N loopback "
-                        "worker processes (0 = serve externally started "
-                        "'repro worker' processes)")
-    parser.add_argument("--dist-host", default="127.0.0.1", metavar="HOST",
-                        help="coordinator bind address for --backend distributed")
-    parser.add_argument("--dist-port", type=int, default=0, metavar="PORT",
-                        help="coordinator port for --backend distributed "
-                        "(0 = auto; the chosen port is reported on stderr)")
+def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
+    """The execution flags ``sweep`` and ``pareto`` share."""
+    parser.add_argument("--processes", type=int, default=1,
+                        help="worker processes for the campaign (1 = serial)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="ignore the on-disk sweep result cache")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume an interrupted campaign: requires the "
+                        "sweep cache, replays checkpointed points, "
+                        "recomputes only the missing ones")
+    parser.add_argument("--retries", type=int, default=None, metavar="N",
+                        help="attempts per point before it counts as failed "
+                        "(default 2: one retry with backoff)")
+    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                        help="per-point wall-clock budget; exceeding it fails "
+                        "the attempt (retried like any other failure)")
+    parser.add_argument("--keep-going", action="store_true",
+                        help="degrade to partial results plus a failure "
+                        "summary instead of aborting when points fail")
 
 
 def _campaign_backend(args: argparse.Namespace):
-    backend = getattr(args, "backend", "local")
-    progress = _fabric_progress if backend == "distributed" else None
-    return make_backend(
-        args.processes,
-        retry=_retry_policy(args),
-        progress=progress,
-        backend=backend,
-        workers=getattr(args, "workers", 0),
-        host=getattr(args, "dist_host", "127.0.0.1"),
-        port=getattr(args, "dist_port", 0),
-    )
+    return make_backend(args.processes, retry=_retry_policy(args))
 
 
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy | None:
@@ -403,7 +336,8 @@ def _retry_policy(args: argparse.Namespace) -> RetryPolicy | None:
     return RetryPolicy(**overrides)  # type: ignore[arg-type]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+@_honours_no_cache
+def cmd_sweep(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     rates = _parse_rates(args.rates)
     base = scale.simulation(rates[0], workload_overrides={"seed": args.seed})
@@ -482,17 +416,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@_honours_no_cache
 def cmd_pareto(args: argparse.Namespace) -> int:
-    if args.no_cache:
-        sweep_cache.set_cache(None)
-        try:
-            return _cmd_pareto(args)
-        finally:
-            sweep_cache.reset_cache()
-    return _cmd_pareto(args)
-
-
-def _cmd_pareto(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     rates = _parse_rates(args.rates)
     policies = None
@@ -562,40 +487,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    # Imported lazily so plain local commands never touch the fabric.
-    from .harness.distributed import run_worker
-
-    return run_worker(
-        args.host,
-        args.port,
-        worker_id=args.worker_id,
-        heartbeat_s=args.heartbeat,
-        quiet=args.quiet,
-    )
-
-
-def cmd_cache_server(args: argparse.Namespace) -> int:
-    from .harness.distributed import serve_result_store
-
-    try:
-        serve_result_store(args.root, args.host, args.port)
-    except KeyboardInterrupt:
-        print("\nresult store stopped", file=sys.stderr)
-    return 0
-
-
+@_honours_no_cache
 def cmd_figure(args: argparse.Namespace) -> int:
-    if args.no_cache:
-        sweep_cache.set_cache(None)
-        try:
-            return _cmd_figure(args)
-        finally:
-            sweep_cache.reset_cache()
-    return _cmd_figure(args)
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     if args.name in SCALE_INDEPENDENT and args.scale is not None:
         print(

@@ -59,15 +59,5 @@ class SweepExecutionError(ExperimentError):
         self.failures = tuple(failures)
 
 
-class DistributedError(ExperimentError):
-    """The distributed sweep fabric hit a protocol or fabric-level fault.
-
-    Raised for malformed or digest-mismatched wire frames, invalid
-    coordinator/worker configuration, and fabric misuse. Per-point and
-    per-host faults never surface as this — they degrade to
-    :class:`~repro.harness.resilience.PointFailure` records instead.
-    """
-
-
 class ChaosError(ReproError):
     """A fault injected by the chaos harness (never raised in clean runs)."""

@@ -3,10 +3,10 @@
 Every sweep in the harness reduces to the same shape of work: a list of
 (picklable, frozen) :class:`~repro.config.SimulationConfig` objects, each
 run through :func:`~repro.harness.runner.run_simulation`, results wanted
-in input order. An :class:`ExecutionBackend` owns exactly that mapping;
-:mod:`repro.harness.sweep` and :mod:`repro.harness.parallel` both build
-their points on top of it instead of each carrying its own execution
-logic.
+in input order. An :class:`ExecutionBackend` owns exactly that mapping,
+and :mod:`repro.harness.sweep` builds its points on top of it. There are
+two: :class:`SerialBackend` and :class:`ProcessPoolBackend`, chosen by
+:func:`make_backend` (or :func:`default_backend` from the environment).
 
 Determinism: a simulation is fully described by its config, so
 :class:`SerialBackend` and :class:`ProcessPoolBackend` produce
@@ -169,6 +169,9 @@ class ProcessPoolBackend(ExecutionBackend):
     def run(
         self, configs: Iterable[SimulationConfig]
     ) -> tuple[list[Optional[SimulationResult]], FailureReport]:
+        if self.processes == 1:
+            # Single-process degenerate path: no pool spawn, same semantics.
+            return SerialBackend(retry=self.retry).run(configs)
         configs = list(configs)
         report = FailureReport()
         if not configs:
@@ -211,17 +214,6 @@ class ProcessPoolBackend(ExecutionBackend):
         Every completed point is checkpointed to *cache* immediately, so
         whatever interrupts the batch, finished work survives.
         """
-        if self.processes == 1:
-            # Single-process degenerate path: no pool spawn, same semantics.
-            for config, index in zip(configs, indices, strict=False):
-                result, failure = run_point(config, self.retry, runner=run_simulation)
-                if failure is not None:
-                    report.record(failure)
-                if result is not None and cache is not None:
-                    cache.store(config, result)
-                results[index] = result
-            return
-
         # run_chunk is looked up through the module global at every submit
         # on purpose: the benchmark's time ledger (paperbench/ledger.py)
         # replaces backends.run_chunk after this module is imported.
@@ -363,40 +355,10 @@ def make_backend(
     *,
     chunksize: int | None = None,
     retry: Optional[RetryPolicy] = None,
-    progress=None,
-    backend: str = "local",
-    workers: int = 0,
-    host: str = "127.0.0.1",
-    port: int = 0,
 ) -> ExecutionBackend:
-    """Backend for *processes* workers (``None``/``0``/``1`` = serial).
-
-    ``backend="distributed"`` selects the fault-tolerant TCP fabric
-    (:class:`~repro.harness.distributed.DistributedBackend`): *workers*
-    loopback worker processes are spawned for the run (0 means serve
-    externally started ``repro worker`` processes on *host*:*port*).
-    *progress* receives the fabric's live progress lines; the local
-    backends ignore it.
-    """
+    """Backend for *processes* workers (``None``/``0``/``1`` = serial)."""
     if processes is not None and processes < 0:
         raise ExperimentError("process count cannot be negative")
-    if backend not in ("local", "distributed"):
-        raise ExperimentError(
-            f"unknown backend {backend!r}: expected 'local' or 'distributed'"
-        )
-    if backend == "distributed":
-        # Imported lazily: the coordinator imports this module for the
-        # chunk machinery, so a top-level import would be circular.
-        from .distributed import DistributedBackend
-
-        return DistributedBackend(
-            spawn_workers=workers,
-            host=host,
-            port=port,
-            chunksize=chunksize or 1,
-            retry=retry,
-            progress=progress,
-        )
     if not processes or processes == 1:
         return SerialBackend(retry=retry)
     return ProcessPoolBackend(processes, chunksize=chunksize, retry=retry)

@@ -34,17 +34,6 @@ Checkpointing
     — e.g. via the CLI's ``--resume`` — replays finished points from disk
     and recomputes only the missing ones.
 
-Shared result store
-    Point ``REPRO_RESULT_STORE`` at a ``repro cache-server`` URL
-    (:mod:`repro.harness.distributed.store`) and the local directory
-    becomes a *read-through* layer over a shared, content-addressed
-    result service: a local miss consults the store (GET by sha256 key),
-    a validated remote entry is written through to the local directory,
-    and every fresh local store is pushed (PUT) so any previously
-    computed ``(epoch, config)`` point is a hit for every host. Remote
-    traffic is strictly best-effort — an unreachable or corrupt store
-    degrades to local-only behavior and is counted, never raised.
-
 Escape hatches
     ``REPRO_CACHE=off`` (also ``0``/``no``/``none``/``disabled``)
     disables caching; any other non-empty value is used as the cache
@@ -59,10 +48,8 @@ import hashlib
 import os
 import pickle
 import tempfile
-import urllib.error
-import urllib.request
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..config import SimulationConfig
 from ..errors import ExperimentError
@@ -71,9 +58,6 @@ from .chaos import inject_store_fault
 #: Environment variable controlling the cache location (or disabling it).
 CACHE_ENV = "REPRO_CACHE"
 
-#: Environment variable naming a shared result store URL (empty = none).
-RESULT_STORE_ENV = "REPRO_RESULT_STORE"
-
 #: Name of the current simulated semantics. Bump on any change that
 #: alters simulation output for an unchanged config.
 CODE_EPOCH = "pr9-integer-femtojoule-energy"
@@ -81,79 +65,15 @@ CODE_EPOCH = "pr9-integer-femtojoule-energy"
 _DISABLE_VALUES = frozenset({"0", "off", "no", "none", "disabled", "false"})
 
 
-class RemoteResultStore:
-    """Best-effort HTTP client for a shared result store.
-
-    Talks the tiny GET/PUT-by-key protocol served by ``repro
-    cache-server`` (:mod:`repro.harness.distributed.store`). Every
-    failure mode — connection refused, timeout, non-404 errors, torn
-    payloads — degrades to "not available" and bumps :attr:`errors`;
-    the shared store may speed a sweep up, it must never break one.
-    """
-
-    def __init__(self, base_url: str, *, timeout_s: float = 5.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
-        self.errors = 0
-
-    def _url(self, key: str) -> str:
-        return f"{self.base_url}/entry/{key}"
-
-    def get(self, key: str) -> Optional[bytes]:
-        """The raw entry payload for *key*, or ``None`` when unavailable."""
-        try:
-            with urllib.request.urlopen(
-                self._url(key), timeout=self.timeout_s
-            ) as response:
-                return bytes(response.read())
-        except urllib.error.HTTPError as exc:
-            if exc.code != 404:
-                self.errors += 1
-            return None
-        except (OSError, ValueError):
-            self.errors += 1
-            return None
-
-    def put(self, key: str, payload: bytes) -> bool:
-        """Push an entry payload; ``True`` when the store accepted it."""
-        request = urllib.request.Request(
-            self._url(key), data=payload, method="PUT"
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s):
-                return True
-        except (OSError, ValueError):
-            self.errors += 1
-            return False
-
-    def __repr__(self) -> str:
-        return f"RemoteResultStore(base_url={self.base_url!r})"
-
-
 class SweepCache:
-    """One on-disk result store plus in-process hit/miss counters.
+    """One on-disk result store plus in-process hit/miss counters."""
 
-    With *remote* set, the directory is a read-through layer over a
-    shared result store: local misses consult the store, validated
-    remote entries are written through locally, fresh results are pushed
-    back. See :class:`RemoteResultStore`.
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        epoch: str = CODE_EPOCH,
-        remote: Optional[RemoteResultStore] = None,
-    ) -> None:
+    def __init__(self, root: str | Path, *, epoch: str = CODE_EPOCH) -> None:
         self.root = Path(root).expanduser()
         self.epoch = epoch
-        self.remote = remote
         self.hits = 0
         self.misses = 0
         self.corrupted = 0
-        self.remote_hits = 0
-        self.remote_stores = 0
 
     # -- keys ------------------------------------------------------------
 
@@ -196,7 +116,7 @@ class SweepCache:
             with open(path, "rb") as handle:
                 entry = pickle.load(handle)
         except FileNotFoundError:
-            return self._load_remote(fingerprint, path)
+            return None
         except (OSError, pickle.PickleError, EOFError, AttributeError,
                 ImportError, IndexError):
             self._quarantine(path)
@@ -204,38 +124,6 @@ class SweepCache:
         if not isinstance(entry, dict) or entry.get("fingerprint") != fingerprint:
             self._quarantine(path)
             return None
-        return entry.get("result")
-
-    def _load_remote(self, fingerprint: str, path: Path) -> object | None:
-        """Consult the shared result store for a local miss.
-
-        A payload that unpickles to a valid entry for *fingerprint* is
-        written through to the local directory (atomically — another
-        process racing on the same key sees either nothing or the whole
-        entry) and served; a torn or mismatched payload is *ignored*,
-        never written locally, and counted as a remote error — a corrupt
-        shared store degrades to recompute, exactly like a quarantined
-        local entry.
-        """
-        if self.remote is None:
-            return None
-        payload = self.remote.get(self._key(fingerprint))
-        if payload is None:
-            return None
-        try:
-            entry = pickle.loads(payload)
-        except (pickle.PickleError, EOFError, AttributeError, ImportError,
-                IndexError, ValueError, TypeError, MemoryError):
-            self.remote.errors += 1
-            return None
-        if not isinstance(entry, dict) or entry.get("fingerprint") != fingerprint:
-            self.remote.errors += 1
-            return None
-        self.remote_hits += 1
-        try:
-            self._write_atomic(path, payload)
-        except OSError:
-            pass
         return entry.get("result")
 
     def _quarantine(self, path: Path) -> None:
@@ -268,11 +156,7 @@ class SweepCache:
             raise
 
     def store(self, config: SimulationConfig, result: object) -> None:
-        """Persist *result* for *config*; best-effort (never raises OSError).
-
-        The entry also goes to the shared result store (when configured)
-        so other hosts — and other campaigns — see the point as computed.
-        """
+        """Persist *result* for *config*; best-effort (never raises OSError)."""
         fingerprint = config.fingerprint()
         payload = pickle.dumps(
             {
@@ -288,10 +172,6 @@ class SweepCache:
             inject_store_fault(fingerprint, path)
         except OSError:
             pass
-        if self.remote is not None and self.remote.put(
-            self._key(fingerprint), payload
-        ):
-            self.remote_stores += 1
 
     # -- batch operation (the backend entry point) -----------------------
 
@@ -362,22 +242,10 @@ class SweepCache:
             if self.corrupted
             else ""
         )
-        remote = ""
-        if self.remote is not None:
-            remote = (
-                f", shared store: {self.remote_hits} hits / "
-                f"{self.remote_stores} stores"
-            )
-            if self.remote.errors:
-                remote += f" / {self.remote.errors} errors"
-        return (
-            f"{self.hits} hits, {self.misses} misses{quarantined}{remote} "
-            f"({self.root})"
-        )
+        return f"{self.hits} hits, {self.misses} misses{quarantined} ({self.root})"
 
     def __repr__(self) -> str:
-        remote = f", remote={self.remote!r}" if self.remote is not None else ""
-        return f"SweepCache(root={str(self.root)!r}, epoch={self.epoch!r}{remote})"
+        return f"SweepCache(root={str(self.root)!r}, epoch={self.epoch!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +267,15 @@ def default_cache_root() -> Path:
 
 
 def cache_from_env() -> SweepCache | None:
-    """The cache selected by ``REPRO_CACHE`` (``None`` when disabled).
-
-    ``REPRO_RESULT_STORE`` (a ``repro cache-server`` URL) attaches the
-    shared-result-store read-through layer; worker processes inherit
-    both variables, so a whole distributed sweep shares one store.
-    """
+    """The cache selected by ``REPRO_CACHE`` (``None`` when disabled)."""
     raw = os.environ.get(CACHE_ENV, "").strip()
     if raw.lower() in _DISABLE_VALUES:
         return None
     root = Path(raw).expanduser() if raw else default_cache_root()
-    store_url = os.environ.get(RESULT_STORE_ENV, "").strip()
-    key = f"{root}\n{store_url}"
+    key = str(root)
     cache = _instances.get(key)
     if cache is None:
-        remote = RemoteResultStore(store_url) if store_url else None
-        cache = _instances[key] = SweepCache(root, remote=remote)
+        cache = _instances[key] = SweepCache(root)
     return cache
 
 

@@ -20,22 +20,6 @@ Fault kinds
     ``corrupt`` the sweep cache truncates the entry it just stored, so a
                 later load exercises the quarantine path.
 
-Network fault kinds (distributed fabric, selected per *chunk* by the
-same seeded mechanism and applied by ``repro worker`` — see
-:mod:`repro.harness.distributed`):
-    ``disconnect``      the worker drops its coordinator connection the
-                        moment it receives the chunk (a mid-run network
-                        partition); the coordinator re-dispatches.
-    ``stall-heartbeat`` the worker freezes (blocking sleep of ``stall_s``
-                        seconds, heartbeats included), so the coordinator
-                        declares the host lost and steals its chunk.
-    ``slow-host``       the worker computes but delays the result by
-                        ``slow_host_s`` seconds, exercising lease-expiry
-                        work-stealing while heartbeats stay healthy.
-    ``corrupt-payload`` the worker flips a byte in the result frame, so
-                        the coordinator's payload digest check rejects it
-                        and re-dispatches the chunk.
-
 Determinism
     The decision for a point is ``sha256(seed : kind : fingerprint)``
     compared against the configured rate — independent of execution
@@ -79,12 +63,6 @@ CRASH_EXIT_CODE = 73
 #: Fault kinds applied before a point simulates (order = precedence).
 _POINT_KINDS = ("crash", "raise", "slow")
 
-#: Network fault kinds applied per chunk by distributed workers (order =
-#: precedence). Hyphenated names map to ``<name>_rate`` fields with the
-#: hyphens replaced by underscores.
-NETWORK_KINDS = ("disconnect", "stall-heartbeat", "slow-host", "corrupt-payload")
-
-
 def _digest(fingerprint: str) -> str:
     """A short stable id for a point. Fingerprints are canonical JSON, so
     a *prefix* of one is shared by every config that differs only in a
@@ -106,19 +84,8 @@ class ChaosPlan:
     raise_rate: float = 0.0
     slow_rate: float = 0.0
     corrupt_rate: float = 0.0
-    #: Network fault rates, drawn per chunk by distributed workers.
-    disconnect_rate: float = 0.0
-    stall_heartbeat_rate: float = 0.0
-    slow_host_rate: float = 0.0
-    corrupt_payload_rate: float = 0.0
     #: Stall duration for ``slow`` faults, in seconds.
     slow_s: float = 0.05
-    #: Freeze duration for ``stall-heartbeat`` faults; must exceed the
-    #: coordinator's heartbeat timeout for the fault to be observable.
-    stall_s: float = 2.0
-    #: Result delay for ``slow-host`` faults; must exceed the chunk lease
-    #: for the fault to trigger work-stealing.
-    slow_host_s: float = 0.5
     #: Each fault fires at most once when a ``state_dir`` is available.
     once: bool = True
     #: Directory for once-only marker files (shared across processes).
@@ -128,18 +95,12 @@ class ChaosPlan:
     main_pid: int = dataclasses.field(default_factory=os.getpid)
 
     def __post_init__(self) -> None:
-        for name in (
-            "crash_rate", "raise_rate", "slow_rate", "corrupt_rate",
-            "disconnect_rate", "stall_heartbeat_rate", "slow_host_rate",
-            "corrupt_payload_rate",
-        ):
+        for name in ("crash_rate", "raise_rate", "slow_rate", "corrupt_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ChaosError(f"{name} must be within [0, 1], got {value!r}")
-        for name in ("slow_s", "stall_s", "slow_host_s"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ChaosError(f"{name} cannot be negative, got {value!r}")
+        if self.slow_s < 0:
+            raise ChaosError(f"slow_s cannot be negative, got {self.slow_s!r}")
 
     # -- deterministic fault selection -----------------------------------
 
@@ -150,7 +111,7 @@ class ChaosPlan:
         return int.from_bytes(digest[:8], "big") / 2**64
 
     def _rate(self, kind: str) -> float:
-        return float(getattr(self, f"{kind.replace('-', '_')}_rate"))
+        return float(getattr(self, f"{kind}_rate"))
 
     def fault_for(self, fingerprint: str) -> Optional[str]:
         """The point fault injected for *fingerprint* (``None`` = clean).
@@ -159,21 +120,6 @@ class ChaosPlan:
         use this to precompute exactly which sweep points will fault.
         """
         for kind in _POINT_KINDS:
-            rate = self._rate(kind)
-            if rate > 0.0 and self._roll(kind, fingerprint) < rate:
-                return kind
-        return None
-
-    def network_fault_for(self, fingerprint: str) -> Optional[str]:
-        """The network fault a worker injects for the chunk whose first
-        config has *fingerprint* (``None`` = clean).
-
-        Same seeded draw as :meth:`fault_for`, over
-        :data:`NETWORK_KINDS` (first match in precedence order wins).
-        Independent of the point-fault draw, so a chunk can suffer both
-        a network fault and, on re-dispatch, a point fault.
-        """
-        for kind in NETWORK_KINDS:
             rate = self._rate(kind)
             if rate > 0.0 and self._roll(kind, fingerprint) < rate:
                 return kind
@@ -318,25 +264,6 @@ def inject_point_fault(fingerprint: str) -> None:
         f"injected failure at point {_digest(fingerprint)[:12]} "
         f"(seed={plan.seed})"
     )
-
-
-def claim_network_fault(fingerprint: str) -> Optional[str]:
-    """The network fault a distributed worker should inject for the chunk
-    keyed by *fingerprint*, claimed once-only — or ``None`` for a clean
-    chunk.
-
-    Called by :mod:`repro.harness.distributed.worker` when a chunk
-    arrives. The claim uses the plan's shared marker directory, so a
-    re-dispatched (stolen) chunk runs clean on any host and the sweep
-    converges bit-identically to a fault-free run.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    kind = plan.network_fault_for(fingerprint)
-    if kind is None or not plan.claim(kind, fingerprint):
-        return None
-    return kind
 
 
 def inject_store_fault(fingerprint: str, path: str | Path) -> None:

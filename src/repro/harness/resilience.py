@@ -184,13 +184,13 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
 
     On the main thread of a Unix process (serial runs, process-pool
     workers) the deadline is a ``SIGALRM``/``setitimer``. Off the main
-    thread — distributed workers run chunks inside an asyncio executor
-    thread — signals cannot be armed, so a monotonic watchdog timer
-    delivers :class:`PointTimeout` asynchronously into the running
-    thread instead (:func:`_watchdog_deadline`). A timeout is therefore
-    *always* enforced; if neither mechanism exists on the platform, a
-    :class:`~repro.errors.ConfigError` says so loudly rather than
-    silently dropping the protection.
+    thread — a caller that runs points from a thread of its own — and on
+    runtimes without ``SIGALRM``, signals cannot be armed, so a monotonic
+    watchdog timer delivers :class:`PointTimeout` asynchronously into the
+    running thread instead (:func:`_watchdog_deadline`). A timeout is
+    therefore *always* enforced; if neither mechanism exists on the
+    platform, a :class:`~repro.errors.ConfigError` says so loudly rather
+    than silently dropping the protection.
     """
     if seconds is None:
         yield

@@ -93,6 +93,11 @@ class TestChaosPlan:
         unknown.write_text('{"seed": 1, "explosion_rate": 1.0}')
         with pytest.raises(ChaosError, match="unknown keys"):
             ChaosPlan.read(unknown)
+        # Retired network-fault keys fail loudly instead of running clean.
+        network = tmp_path / "network.json"
+        network.write_text('{"seed": 1, "disconnect_rate": 0.5, "stall_s": 2.0}')
+        with pytest.raises(ChaosError, match="disconnect_rate"):
+            ChaosPlan.read(network)
 
 
 class TestActivation:

@@ -21,6 +21,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "--port", "8751"],
+            ["cache-server", "store"],
+            ["sweep", "--backend", "distributed"],
+            ["pareto", "--workers", "2"],
+        ],
+    )
+    def test_removed_distributed_surface_is_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_every_paper_figure_has_a_cli_name(self):
         for name in (
             "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10",

@@ -238,8 +238,9 @@ class TestFailureReport:
 
 
 class TestFailureReportMergeEdgeCases:
-    """Merge semantics the distributed coordinator leans on: per-shard
-    reports concatenate without deduplication or reordering."""
+    """Merge semantics ``sweep`` leans on when it folds each batch's report
+    into the caller's: reports concatenate without deduplication or
+    reordering."""
 
     def _failure(self, fingerprint: str, **overrides) -> PointFailure:
         values = dict(
@@ -320,8 +321,9 @@ def _in_thread(fn):
 
 class TestOffMainThreadTimeout:
     """timeout_s away from the main thread: SIGALRM cannot be armed
-    there, so the watchdog fallback must enforce the deadline instead
-    (distributed workers run chunks inside an asyncio executor thread)."""
+    there, so the watchdog fallback must enforce the deadline instead.
+    The same watchdog is the only timeout path on runtimes without
+    SIGALRM."""
 
     def test_timeout_trips_in_a_worker_thread(self):
         def stall(config):
