@@ -41,7 +41,7 @@ is claimed once at allocation and released once at tail launch); the
 checked primitives remain for every other caller, and the opt-in network
 sanitizer re-verifies the invariants end to end.
 
-Two callback seams connect the router to the layers above it without the
+Three callback seams connect the router to the layers above it without the
 router knowing they exist (see ``docs/architecture.md``):
 
 * ``packet_sink`` — invoked with ``(packet, now)`` when a tail flit is

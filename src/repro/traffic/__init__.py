@@ -5,8 +5,9 @@ The centerpiece is the two-level task workload
 communication task sessions placed with a sphere of locality, each
 generating self-similar packet traffic by multiplexing Pareto ON/OFF
 sources. Classic reference workloads (uniform random, permutations) and
-validation tooling (Hurst-exponent estimators, trace record/replay) live
-alongside.
+trace record/replay live alongside. The Hurst-exponent estimators are
+imported from :mod:`repro.traffic.selfsim`, so numpy stays out of every
+simulation process.
 """
 
 from .base import TrafficSource, make_traffic
@@ -15,7 +16,6 @@ from .locality import SphereOfLocality
 from .onoff import OnOffSourceSet
 from .pareto import pareto_mean, pareto_sample
 from .permutation import PERMUTATIONS, PermutationTraffic
-from .selfsim import hurst_rs, hurst_variance_time
 from .tasks import TwoLevelWorkload
 from .trace import RecordingSource, TraceReplaySource
 from .uniform import UniformRandomTraffic
@@ -32,8 +32,6 @@ __all__ = [
     "PermutationTraffic",
     "HotspotTraffic",
     "PERMUTATIONS",
-    "hurst_rs",
-    "hurst_variance_time",
     "RecordingSource",
     "TraceReplaySource",
 ]
