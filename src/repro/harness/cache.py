@@ -11,9 +11,11 @@ Key construction
     ``sha256(code_epoch + "\\n" + config.fingerprint())`` where the
     fingerprint is the config's canonical JSON (sorted keys, fixed
     separators — see :func:`~repro.harness.serialization.canonical_json`)
-    and :data:`CODE_EPOCH` names the current simulated semantics. Bump
-    the epoch whenever a change alters simulation output for the same
-    config; old entries are simply never looked up again.
+    and :data:`CODE_EPOCH` names the current simulated semantics. The
+    epoch is a digest of the golden runs, enforced by
+    ``tests/test_golden_determinism.py::TestCacheEpoch``: a change that
+    alters simulation output fails that test, which prints the new epoch;
+    old entries are simply never looked up again.
 
 Safety
     Entries verify their stored fingerprint on load (hash collisions and
@@ -58,9 +60,10 @@ from .chaos import inject_store_fault
 #: Environment variable controlling the cache location (or disabling it).
 CACHE_ENV = "REPRO_CACHE"
 
-#: Name of the current simulated semantics. Bump on any change that
-#: alters simulation output for an unchanged config.
-CODE_EPOCH = "pr9-integer-femtojoule-energy"
+#: Name of the current simulated semantics: a digest of the golden runs,
+#: checked by ``tests/test_golden_determinism.py::TestCacheEpoch``, which
+#: fails with the new value whenever simulated output changes.
+CODE_EPOCH = "golden-955e8bdb6865308b"
 
 _DISABLE_VALUES = frozenset({"0", "off", "no", "none", "disabled", "false"})
 

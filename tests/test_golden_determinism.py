@@ -21,6 +21,9 @@ transition count, drops) was bit-identical across that change.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from repro.config import (
     DVSControlConfig,
     LinkConfig,
@@ -29,6 +32,8 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.harness.backends import make_backend
+from repro.harness.cache import CODE_EPOCH
+from repro.harness.serialization import to_json
 from repro.harness.sweep import compare_policies
 from repro.network.simulator import Simulator
 
@@ -119,6 +124,35 @@ class TestGoldenSeries:
             76.79999999999949,
         ]
         assert result.series["mean_level"].values == [9.0] * 8
+
+
+class TestCacheEpoch:
+    """The sweep cache's ``CODE_EPOCH`` is derived from the golden runs, so
+    a change that alters simulated output cannot keep serving stale cached
+    results: the epoch must follow the goldens' digest."""
+
+    def test_code_epoch_follows_the_golden_digest(self):
+        runs = [
+            Simulator(golden_config("history", "two_level", 0.6)).run(),
+            Simulator(
+                golden_config("none", "uniform", 0.3), series_window=500
+            ).run(),
+        ]
+        plain = []
+        for result in runs:
+            data = to_json(result)
+            # Series objects have no dataclass form; pin their samples.
+            data["series"] = {
+                name: [series.window_cycles, series.values]
+                for name, series in result.series.items()
+            }
+            plain.append(data)
+        canonical = json.dumps(plain, sort_keys=True)
+        expected = "golden-" + hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        assert CODE_EPOCH == expected, (
+            f"simulated output changed: set CODE_EPOCH = {expected!r} in "
+            "src/repro/harness/cache.py"
+        )
 
 
 class TestSerialParallelEquivalence:
