@@ -9,7 +9,8 @@ Runs a small matrix of workloads through three kernel variants —
   invariant checkers attached (``--sanitize``),
 
 — and reports wall time, simulated cycles/second, skipped-cycle counts, and
-speedups. Results are archived as JSON under ``benchmarks/results/``.
+speedups. Results go to ``.bench_out/step_throughput.json`` at the repo
+root by default (git-ignored host-specific timings; ``--json`` moves them).
 
 Unlike the figure benchmarks this is a standalone script (no
 pytest-benchmark) so CI can run it as a perf smoke test::
@@ -73,8 +74,9 @@ try:  # standalone: python benchmarks/bench_step_throughput.py
 except ImportError:  # imported as benchmarks.bench_step_throughput
     from .common import add_profile_argument, maybe_profile
 
-RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
+#: Default result path: git-ignored, so local runs leave the tree clean.
+RESULTS_PATH = REPO_ROOT / ".bench_out" / "step_throughput.json"
 #: Tracked perf baselines, committed at the repo root. Regenerate with
 #: ``--write-baseline`` (once per mode: with and without ``--tiny``).
 BASELINE_PATH = REPO_ROOT / "BENCH_step_throughput.json"
@@ -424,8 +426,9 @@ def main(argv: list[str] | None = None) -> int:
              "(default 1.5)",
     )
     parser.add_argument(
-        "--json", default=str(RESULTS_DIR / "step_throughput.json"),
-        help="result JSON path ('' to skip writing)",
+        "--json", default=str(RESULTS_PATH),
+        help="result JSON path ('' to skip writing; default: "
+             ".bench_out/step_throughput.json at the repo root)",
     )
     parser.add_argument(
         "--baseline", default=str(BASELINE_PATH),

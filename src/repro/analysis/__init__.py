@@ -10,17 +10,18 @@ silently rotting as the codebase grows (see ``docs/static_analysis.md``):
   built on the shared :mod:`~repro.analysis.model` project model:
   determinism taint (:mod:`~repro.analysis.taint`), unit/dimension
   checking (:mod:`~repro.analysis.dimensions`), and worker isolation
-  (:mod:`~repro.analysis.isolation`). Known findings live in a committed
-  baseline (:mod:`~repro.analysis.baseline`); repeat runs are served
-  from an incremental cache (:mod:`~repro.analysis.cache`); CI consumes
-  SARIF (:mod:`~repro.analysis.sarif`). Run it as
+  (:mod:`~repro.analysis.isolation`). A reviewed finding is accepted
+  only by an inline ``# repro-lint: ignore[...]`` pragma with its
+  justification in the comment directly above. Run it as
   ``python -m repro.analysis.lint src tests``.
-* :mod:`repro.analysis.sanitizer` — the **network sanitizer**, an opt-in
-  family of instrumentation-bus observers that assert conservation
-  invariants (credits, flits, VC allocation, DVS transition legality)
-  every simulated cycle. Enable with ``--sanitize`` on the CLI,
-  ``sanitize=True`` on :class:`~repro.network.simulator.Simulator`, or
-  ``REPRO_SANITIZE=1`` in the environment.
+* :mod:`repro.analysis.sanitizer` — the **network sanitizer**, the
+  simulator's one runtime invariant checker: an opt-in family of
+  instrumentation-bus observers that assert conservation invariants
+  (credits, flits, buffer occupancy, event counters, VC allocation, DVS
+  transition legality) on a stepped-cycle cadence. Enable with
+  ``--sanitize`` on the CLI, ``sanitize=True`` on
+  :class:`~repro.network.simulator.Simulator`, or ``REPRO_SANITIZE=1``
+  in the environment; a lifecycle mark runs a one-shot check.
 """
 
 from typing import TYPE_CHECKING

@@ -85,29 +85,26 @@ Interprocedural rules (see their modules for the full story):
     picklable by construction (no generator-typed fields, no generator
     instance state, no lambda defaults).
 
-Suppressions and the baseline
-    Append ``# repro-lint: ignore[R2]`` (or ``ignore[R1,R4]``) to the
-    flagged line — anywhere inside a multi-line statement works; the
-    pragma covers the innermost enclosing statement's span. Unknown rule
-    ids in pragmas are reported as warnings rather than silently
-    accepted. A file whose first ten lines contain ``# repro-lint:
-    skip-file`` is not checked at all. Directories named ``fixtures`` or
-    ``__pycache__`` are skipped unless ``--include-fixtures`` is given.
-    Pre-existing interprocedural findings live in the committed baseline
-    (``.repro-lint-baseline.json``, loaded automatically when present;
-    see :mod:`repro.analysis.baseline`): baseline-matched findings keep
-    the exit status at 0, new findings fail the run.
+Suppressions
+    A reviewed finding is accepted in exactly one way: append ``#
+    repro-lint: ignore[R2]`` (or ``ignore[R1,R4]``) to the flagged line,
+    with the justification in the comment line(s) directly above it.
+    Anywhere inside a multi-line statement works; the pragma covers the
+    innermost enclosing statement's span. Suppressed findings are tallied
+    per rule (the ``suppressions`` block of ``--format json``), and
+    unknown rule ids in pragmas are reported as warnings rather than
+    silently accepted. A file whose first ten lines contain ``#
+    repro-lint: skip-file`` is not checked at all. Directories named
+    ``fixtures`` or ``__pycache__`` are skipped unless
+    ``--include-fixtures`` is given.
 
 Usage::
 
     python -m repro.analysis.lint src tests              # human output
     python -m repro.analysis.lint --format json src      # machine output
-    python -m repro.analysis.lint --format sarif src     # code scanning
-    python -m repro.analysis.lint --cache src tests      # incremental
-    python -m repro.analysis.lint --update-baseline src  # refresh baseline
 
-Exit status is 0 when clean (including baseline-matched findings), 1
-when new violations were found, 2 on usage or parse errors.
+Exit status is 0 when clean, 1 when violations were found, 2 on usage
+or parse errors.
 """
 
 from __future__ import annotations
@@ -120,9 +117,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from . import baseline as baseline_io
-from . import dimensions, isolation, sarif, taint
-from .cache import DEFAULT_CACHE, LintCache, file_sha, project_digest
+from . import dimensions, isolation, taint
 from .model import (
     NP_RANDOM_SEEDED_OK,
     RANDOM_OK,
@@ -231,7 +226,6 @@ class Linter:
         self.include_fixtures = include_fixtures
         self.model = ProjectModel()
         self._errors: list[str] = []
-        self._shas: dict[str, str] = {}
         #: Names of dataclasses seen anywhere in the file set; fields of a
         #: ``*Config`` dataclass may reference them (R5) because
         #: ``to_json`` serializes nested dataclasses recursively.
@@ -277,7 +271,6 @@ class Linter:
             self._errors.append(f"{path}: syntax error: {exc}")
             return
         self.model.add_module(module)
-        self._shas[path] = file_sha(source.encode("utf-8"))
         self._dataclass_names.update(
             name for name, info in module.classes.items() if info.is_dataclass
         )
@@ -294,30 +287,9 @@ class Linter:
         """Parse/IO problems (reported separately from rule violations)."""
         return self._errors
 
-    def source_line(self, path: str, lineno: int) -> str:
-        """Line *lineno* of *path* (for baseline context matching)."""
-        module = self.model.by_path.get(path)
-        if module is not None and 1 <= lineno <= len(module.lines):
-            return module.lines[lineno - 1]
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return ""
-        if 1 <= lineno <= len(lines):
-            return lines[lineno - 1]
-        return ""
-
     # -- rule driver -----------------------------------------------------
 
-    def run(self, cache: LintCache | None = None) -> list[Violation]:
-        digest = project_digest(self._shas)
-        if cache is not None:
-            cached = cache.project_result(digest)
-            if cached is not None:
-                violations, self.suppressed_counts, self.warnings = cached
-                return violations
-
-        per_file_raw: dict[str, list[Violation]] = {}
+    def run(self) -> list[Violation]:
         violations: list[Violation] = []
         self.suppressed_counts = {}
 
@@ -332,16 +304,8 @@ class Linter:
 
         for path in sorted(self.model.by_path):
             module = self.model.by_path[path]
-            if module.skip_file:
-                per_file_raw[path] = []
-                continue
-            raw = None
-            if cache is not None:
-                raw = cache.file_result(path, self._shas[path])
-            if raw is None:
-                raw = list(self._check_file(module))
-            per_file_raw[path] = raw
-            admit(module, raw)
+            if not module.skip_file:
+                admit(module, self._check_file(module))
 
         for pass_check in (taint.check, dimensions.check, isolation.check):
             for violation in pass_check(self.model):
@@ -351,11 +315,6 @@ class Linter:
                 admit(module, [violation])
 
         violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-        if cache is not None:
-            cache.store(
-                self._shas, per_file_raw, violations,
-                self.suppressed_counts, self.warnings,
-            )
         return violations
 
     def _check_file(self, module: ModuleInfo) -> Iterator[Violation]:
@@ -913,22 +872,11 @@ def lint_paths(
     paths: Sequence[str | Path],
     *,
     include_fixtures: bool = False,
-    baseline: str | Path | None = None,
 ) -> tuple[list[Violation], list[str]]:
-    """Lint *paths*; returns ``(violations, parse_errors)``.
-
-    With *baseline*, findings matching the committed baseline file are
-    filtered out — only new findings are returned.
-    """
+    """Lint *paths*; returns ``(violations, parse_errors)``."""
     linter = Linter(include_fixtures=include_fixtures)
     linter.add_paths(paths)
-    violations = linter.run()
-    if baseline is not None:
-        entries = baseline_io.load(baseline)
-        violations, _, _ = baseline_io.apply(
-            violations, entries, linter.source_line
-        )
-    return violations, linter.errors
+    return linter.run(), linter.errors
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -941,84 +889,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("paths", nargs="+", help="files or directories to lint")
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
         "--include-fixtures", action="store_true",
         help="also lint directories named 'fixtures' (skipped by default)",
     )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help=(
-            "baseline file of known findings (default: "
-            f"{baseline_io.DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help=(
-            "rewrite the baseline from the current findings (preserving "
-            "justifications of surviving entries) and exit 0"
-        ),
-    )
-    parser.add_argument(
-        "--cache", metavar="PATH", nargs="?", const=DEFAULT_CACHE, default=None,
-        help=(
-            "enable the incremental result cache at PATH (default when the "
-            f"flag is given without a value: {DEFAULT_CACHE})"
-        ),
-    )
     args = parser.parse_args(argv)
 
     linter = Linter(include_fixtures=args.include_fixtures)
     linter.add_paths(args.paths)
-    cache: LintCache | None = None
-    if args.cache is not None:
-        cache = LintCache(args.cache)
-        cache.load()
-    violations = linter.run(cache)
-    if cache is not None:
-        cache.save()
+    violations = linter.run()
     errors = linter.errors
-
-    baseline_path: Path | None = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline_path = Path(args.baseline)
-        elif Path(baseline_io.DEFAULT_BASELINE).is_file():
-            baseline_path = Path(baseline_io.DEFAULT_BASELINE)
-
-    if args.update_baseline:
-        target = baseline_path or Path(baseline_io.DEFAULT_BASELINE)
-        previous: list[dict[str, object]] = []
-        if target.is_file():
-            try:
-                previous = baseline_io.load(target)
-            except baseline_io.BaselineError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        count = baseline_io.save(
-            target, violations, linter.source_line, previous
-        )
-        print(f"repro-lint: wrote {count} baseline entrie(s) to {target}")
-        return 2 if errors else 0
-
-    matched: list[Violation] = []
-    stale: list[str] = []
-    if baseline_path is not None:
-        try:
-            entries = baseline_io.load(baseline_path)
-        except baseline_io.BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        violations, matched, stale = baseline_io.apply(
-            violations, entries, linter.source_line
-        )
 
     if args.format == "json":
         print(
@@ -1028,32 +911,20 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "errors": errors,
                     "rules": RULES,
                     "suppressions": dict(sorted(linter.suppressed_counts.items())),
-                    "baseline": {
-                        "path": str(baseline_path) if baseline_path else None,
-                        "matched": len(matched),
-                        "stale": stale,
-                    },
                     "warnings": linter.warnings,
                 },
                 indent=2,
             )
         )
-    elif args.format == "sarif":
-        print(sarif.render(violations, RULES))
-        for error in errors:
-            print(f"error: {error}", file=sys.stderr)
     else:
         for violation in violations:
             print(violation.render())
         for warning in linter.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        for warning in stale:
-            print(f"warning: {warning}", file=sys.stderr)
         for error in errors:
             print(f"error: {error}", file=sys.stderr)
         if not violations and not errors:
-            suffix = f" ({len(matched)} baseline finding(s))" if matched else ""
-            print(f"repro-lint: clean{suffix}")
+            print("repro-lint: clean")
         elif violations:
             counts: dict[str, int] = {}
             for violation in violations:

@@ -37,7 +37,7 @@ import re
 from collections import deque
 from typing import Iterator, Sequence
 
-#: Matches ``# repro-lint: ignore[R2]`` / ``ignore[R1,R4]`` pragmas.
+#: Matches ``ignore[R2]`` / ``ignore[R1,R4]`` pragmas after ``# repro-lint:``.
 SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Za-z0-9,\s]+)\]")
 #: Matches the whole-file opt-out pragma (first ten lines only).
 SKIP_FILE_RE = re.compile(r"#\s*repro-lint:\s*skip-file")

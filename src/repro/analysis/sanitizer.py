@@ -15,13 +15,22 @@ a no-op, so it neither triggers a check nor advances the cadence, and
 the harness's lifecycle marks force a final check before any result is
 read.
 
+This is the simulator's only runtime invariant checker. A one-shot check
+of the current state is a lifecycle mark on a detached bundle,
+``NetworkSanitizer(engine, raise_on_violation=False).on_mark("audit",
+engine.now)``, after which :attr:`NetworkSanitizer.violations` lists
+everything found.
+
 The family (one checker per invariant group):
 
 * :class:`ConservationSanitizer` — per (channel, VC):
   ``credits held + flits in flight + downstream buffer occupancy +
   credits in flight == buffer depth``; network-wide: ``flits offered ==
   source-side + buffered + in flight + ejected`` (nothing is ever
-  dropped).
+  dropped); per router and input port: the occupancy tracker (the DVS
+  controller's buffer-utilization input) and ``total_buffered`` match
+  the buffers; the kernel's O(1) outstanding-event counters match a full
+  event scan.
 * :class:`VCAllocationSanitizer` — VC allocation state-machine legality:
   every non-free downstream VC is claimed by exactly one upstream input
   VC, claims are mutually exclusive, credit counters stay within
@@ -199,10 +208,14 @@ class SanitizerObserver(Observer):
 
 
 class ConservationSanitizer(SanitizerObserver):
-    """Credit-loop and flit conservation, re-derived from scratch each check.
+    """Credit-loop, flit and buffer-count conservation, re-derived from
+    scratch each check.
 
-    Both invariants share one walk over the kernel's pending-event
-    buckets, so they live in a single checker.
+    The invariants share one walk over the kernel's pending-event
+    buckets, so they live in a single checker. The per-port occupancy
+    sweep covers only the scheduler's active routers, with a deep sweep
+    of every router on the first check and at every lifecycle mark, on
+    the same argument as :class:`VCAllocationSanitizer`.
     """
 
     rule = "conservation"
@@ -215,6 +228,24 @@ class ConservationSanitizer(SanitizerObserver):
         #: attribute chases. An idle channel (all credits home, buffers
         #: empty, no events) short-circuits on two list compares.
         self._channel_cache: list[tuple] | None = None
+        #: Per-node ``(port, tracker, buffer deques)`` rows, resolved
+        #: once for the same reason.
+        self._port_cache: list[tuple] | None = None
+        self._deep_pending = True
+
+    def on_mark(self, label: str, cycle: int) -> None:
+        self._deep_pending = True
+        self._fire(cycle)
+
+    def _ports(self) -> list[tuple]:
+        cache = self._port_cache = [
+            tuple(
+                (port, router.occupancy[port], tuple(vc.buffer.flits for vc in vcs))
+                for port, vcs in enumerate(router.in_vcs)
+            )
+            for router in self.engine.routers
+        ]
+        return cache
 
     def _channels(self) -> list[tuple]:
         engine = self.engine
@@ -255,6 +286,19 @@ class ConservationSanitizer(SanitizerObserver):
             elif kind == EVENT_CREDIT:
                 key = (event[1], event[2], event[3])
                 credits_in_flight[key] = credits_in_flight.get(key, 0) + 1
+        transport = arrival_total + sum(credits_in_flight.values())
+        if (
+            engine._pending_transport != transport
+            or engine._pending_arrivals != arrival_total
+        ):
+            self._violation(
+                f"outstanding-event counters drifted: transport "
+                f"{engine._pending_transport} != scanned {transport}, "
+                f"arrivals {engine._pending_arrivals} != scanned "
+                f"{arrival_total} (drain and flits_in_network read them)",
+                rule="event-counters",
+                cycle=now,
+            )
 
         vcs_per_port = engine.config.network.vcs_per_port
         vc_range = range(vcs_per_port)
@@ -300,7 +344,6 @@ class ConservationSanitizer(SanitizerObserver):
                         channel=spec.channel_id,
                     )
 
-        offered_flits = 0
         source_side = 0
         buffered_total = 0
         ejected = 0
@@ -308,6 +351,40 @@ class ConservationSanitizer(SanitizerObserver):
             source_side += router.unsent_source_flits()
             buffered_total += router.total_buffered
             ejected += router.flits_ejected
+        port_cache = self._port_cache
+        if port_cache is None:
+            port_cache = self._ports()
+        if self._deep_pending:
+            self._deep_pending = False
+            routers = engine.routers
+        else:
+            routers = engine.iter_active_routers()
+        for router in routers:
+            buffered = router.total_buffered
+            held_total = 0
+            for port, tracker, buffers in port_cache[router.node]:
+                held = 0
+                for flits in buffers:
+                    held += len(flits)
+                held_total += held
+                if tracker is not None and tracker.occupied != held:
+                    self._violation(
+                        f"occupancy tracker says {tracker.occupied}, buffers "
+                        f"hold {held} (the DVS controller's buffer "
+                        "utilization would be wrong)",
+                        rule="occupancy",
+                        cycle=now,
+                        node=router.node,
+                        port=port,
+                    )
+            if buffered != held_total:
+                self._violation(
+                    f"total_buffered {buffered} != {held_total} flits in "
+                    "the input buffers",
+                    rule="occupancy",
+                    cycle=now,
+                    node=router.node,
+                )
         flits_per_packet = engine.config.network.flits_per_packet
         offered_flits = engine.traffic.packets_offered * flits_per_packet
         accounted = source_side + buffered_total + arrival_total + ejected

@@ -220,7 +220,10 @@ def _ensure_builtins() -> None:
     effect); deferred so ``config -> registry -> policy`` stays acyclic."""
     global _BUILTINS_LOADED
     if not _BUILTINS_LOADED:
-        _BUILTINS_LOADED = True
+        # Idempotent once-flag: the store only goes False -> True and the
+        # registrations it guards are deterministic, so every worker
+        # converges to the same registry whatever the execution order.
+        _BUILTINS_LOADED = True  # repro-lint: ignore[R11]
         from . import policy as _policy  # noqa: F401
         from . import policy_zoo as _policy_zoo  # noqa: F401
 

@@ -24,11 +24,6 @@ class RoundRobinArbiter:
         self.size = size
         self._next = 0
 
-    @property
-    def priority_head(self) -> int:
-        """The id that currently has the highest priority."""
-        return self._next
-
     def grant(self, requests: Sequence[bool]) -> int | None:
         """Grant among *requests* (indexed by id); None if no request.
 

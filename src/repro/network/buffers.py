@@ -37,10 +37,6 @@ class VCBuffer:
         return len(self.flits)
 
     @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self.flits)
-
-    @property
     def occupancy(self) -> int:
         """Flits currently buffered (the sanitizer-facing spelling)."""
         return len(self.flits)
@@ -48,10 +44,6 @@ class VCBuffer:
     @property
     def is_empty(self) -> bool:
         return not self.flits
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.flits) >= self.capacity
 
     def head(self) -> Flit | None:
         """The flit at the front, or None when empty."""

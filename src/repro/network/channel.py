@@ -15,8 +15,6 @@ remaining pipeline stages plus wire flight.
 
 from __future__ import annotations
 
-import math
-
 from ..core.dvs_link import DVSChannel
 from ..errors import ConfigError
 from .topology import ChannelSpec
@@ -37,11 +35,6 @@ class NetworkChannel:
     def can_accept(self, now: int) -> bool:
         """Whether a flit may be launched onto the wire this cycle."""
         return self.dvs.can_accept_flit(now)
-
-    def send(self, now: int) -> int:
-        """Launch one flit; return the downstream arrival cycle."""
-        done = self.dvs.send_flit(now)
-        return int(math.ceil(done + self.pipeline_latency))
 
     @property
     def serialization_cycles(self) -> float:

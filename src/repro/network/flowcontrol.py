@@ -31,12 +31,6 @@ class CreditState:
         self.credits = [capacity_per_vc] * vcs
         self.vc_free = [True] * vcs
 
-    def consume(self, vc: int) -> None:
-        """Spend one credit on *vc* (a flit is being launched)."""
-        if self.credits[vc] <= 0:
-            raise FlowControlError(f"credit underflow on VC {vc}")
-        self.credits[vc] -= 1
-
     def restore(self, vc: int) -> None:
         """Return one credit to *vc* (a flit left the downstream buffer)."""
         if self.credits[vc] >= self.capacity_per_vc:
@@ -55,12 +49,6 @@ class CreditState:
         if not self.vc_free[vc]:
             raise FlowControlError(f"VC {vc} allocated while in use")
         self.vc_free[vc] = False
-
-    def release_vc(self, vc: int) -> None:
-        """Release downstream VC *vc* (its tail flit departed downstream)."""
-        if self.vc_free[vc]:
-            raise FlowControlError(f"VC {vc} released while already free")
-        self.vc_free[vc] = True
 
 
 class OccupancyTracker:

@@ -25,7 +25,7 @@ class TestVCBuffer:
         fs = flits(3)
         buffer.enqueue(fs[0], 0)
         buffer.enqueue(fs[1], 0)
-        assert buffer.is_full
+        assert len(buffer) == buffer.capacity
         with pytest.raises(FlowControlError):
             buffer.enqueue(fs[2], 0)
 
@@ -47,12 +47,6 @@ class TestVCBuffer:
         buffer.enqueue(flit, now=123)
         assert flit.buffer_arrival_cycle == 123
 
-    def test_free_slots(self):
-        buffer = VCBuffer(3)
-        assert buffer.free_slots == 3
-        buffer.enqueue(flits(1)[0], 0)
-        assert buffer.free_slots == 2
-
     def test_bad_capacity(self):
         with pytest.raises(ConfigError):
             VCBuffer(0)
@@ -63,9 +57,8 @@ class TestVCBuffer:
         buffer = VCBuffer(4)
         source = iter(flits(60))
         for enqueue in ops:
-            if enqueue and not buffer.is_full:
+            if enqueue and len(buffer) < buffer.capacity:
                 buffer.enqueue(next(source), 0)
             elif not enqueue and not buffer.is_empty:
                 buffer.dequeue()
             assert 0 <= len(buffer) <= 4
-            assert buffer.free_slots == 4 - len(buffer)

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import io
 import json
 import textwrap
+import tokenize
 from pathlib import Path
 
-from repro.analysis import baseline as baseline_io
+import pytest
+
 from repro.analysis.lint import RULES, Linter, Violation, lint_paths, main
+from repro.analysis.model import SUPPRESS_RE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "lint"
-BASELINE = REPO_ROOT / ".repro-lint-baseline.json"
+
+#: Reviewed findings the tree accepts, per rule. Each is one inline
+#: pragma with its justification in the comment line(s) directly above;
+#: accepting another finding means adding a pragma and bumping this.
+ACCEPTED_FINDINGS = {"R9": 2, "R11": 2}
 
 
 def _lint_source(source: str, path: str) -> list[Violation]:
@@ -30,39 +38,51 @@ def _lint_sources(sources: dict[str, str]) -> list[Violation]:
     return linter.run()
 
 
+def _pragma_audit(roots: list[Path]) -> tuple[dict[str, int], list[str]]:
+    """Per-rule tally of the pragma comments under *roots*, and the
+    ``path:line`` of each pragma lacking a justification comment directly
+    above it. Pragma text inside string literals is not a pragma."""
+    tally: dict[str, int] = {}
+    unjustified: list[str] = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            if {"fixtures", "__pycache__"} & set(path.parts):
+                continue
+            source = path.read_text(encoding="utf-8")
+            lines = source.splitlines()
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                match = SUPPRESS_RE.search(token.string)
+                if token.type != tokenize.COMMENT or match is None:
+                    continue
+                for rule in match.group(1).split(","):
+                    rule = rule.strip().upper()
+                    tally[rule] = tally.get(rule, 0) + 1
+                lineno = token.start[0]
+                above = lines[lineno - 2].strip() if lineno > 1 else ""
+                if not above.startswith("#") or SUPPRESS_RE.search(above):
+                    unjustified.append(f"{path}:{lineno}")
+    return tally, unjustified
+
+
 class TestRepoIsClean:
     def test_src_and_tests_have_no_violations(self):
-        # Pre-existing interprocedural findings live in the committed
-        # baseline (each with a reviewed justification); anything NOT in
-        # the baseline fails this test.
-        violations, errors = lint_paths(
-            [REPO_ROOT / "src", REPO_ROOT / "tests"], baseline=BASELINE
-        )
+        violations, errors = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"])
         assert errors == []
         assert violations == []
 
-    def test_baseline_is_fully_justified_and_live(self):
-        entries = baseline_io.load(BASELINE)
-        assert entries, "baseline exists but is empty; delete it instead"
-        for entry in entries:
-            justification = str(entry.get("justification", ""))
-            assert justification
-            assert justification != baseline_io.TODO_JUSTIFICATION, entry
-        # Every entry still matches a real finding (no stale rot).
-        linter = Linter()
-        linter.add_paths([REPO_ROOT / "src", REPO_ROOT / "tests"])
-        violations = linter.run()
-        _, matched, stale = baseline_io.apply(
-            violations, entries, linter.source_line
-        )
-        assert stale == []
-        assert len(matched) == len(entries)
+    def test_pragmas_are_justified_and_live(self, capsys):
+        roots = [REPO_ROOT / "src", REPO_ROOT / "tests"]
+        assert main([str(root) for root in roots] + ["--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        tally, unjustified = _pragma_audit(roots)
+        # One finding per pragma: a pragma that stops suppressing
+        # anything drops the reported count below the tally.
+        assert report["suppressions"] == tally == ACCEPTED_FINDINGS
+        assert unjustified == []
 
     def test_cli_exit_zero_on_clean_tree(self, capsys):
-        assert main([str(REPO_ROOT / "src"), "--baseline", str(BASELINE)]) == 0
-        out = capsys.readouterr().out
-        assert "repro-lint: clean" in out
-        assert "baseline finding(s)" in out
+        assert main([str(REPO_ROOT / "src")]) == 0
+        assert "repro-lint: clean" in capsys.readouterr().out
 
 
 class TestFixtureViolations:
@@ -83,7 +103,7 @@ class TestFixtureViolations:
         assert violations == []
 
     def test_cli_exit_one_on_fixture(self, capsys):
-        assert main([str(FIXTURES), "--include-fixtures", "--no-baseline"]) == 1
+        assert main([str(FIXTURES), "--include-fixtures"]) == 1
         out = capsys.readouterr().out
         assert "violation(s)" in out
 
@@ -93,7 +113,6 @@ class TestFixtureViolations:
                 [
                     str(FIXTURES),
                     "--include-fixtures",
-                    "--no-baseline",
                     "--format",
                     "json",
                 ]
@@ -111,7 +130,6 @@ class TestFixtureViolations:
         # silently; every rule with a suppression example shows up.
         for rule in ("R1", "R7", "R8", "R9", "R10", "R11"):
             assert report["suppressions"].get(rule, 0) >= 1
-        assert report["baseline"] == {"path": None, "matched": 0, "stale": []}
 
     def test_syntax_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
@@ -1088,7 +1106,7 @@ class TestMutationCatches:
         assert "run_chunk" in r11[0].message
 
 
-class TestBaselineWorkflow:
+class TestPragmaWorkflow:
     def _dirty_tree(self, tmp_path):
         module = tmp_path / "repro" / "network" / "leaf.py"
         module.parent.mkdir(parents=True)
@@ -1098,159 +1116,64 @@ class TestBaselineWorkflow:
         )
         return module
 
-    def test_update_then_clean_then_new_finding(self, tmp_path, capsys):
+    def test_pragma_accepts_finding_then_new_finding_fails(self, tmp_path, capsys):
         module = self._dirty_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-
-        assert main([str(module), "--no-baseline"]) == 1
+        assert main([str(module)]) == 1
         capsys.readouterr()
 
-        assert (
-            main([str(module), "--update-baseline", "--baseline", str(baseline)])
-            == 0
+        module.write_text(
+            "import time\n\n\ndef stamp():\n"
+            "    # Display-only timestamp, never fed back into the run.\n"
+            "    return time.time()  # repro-lint: ignore[R1]\n",
+            encoding="utf-8",
         )
-        assert "wrote 1 baseline entrie(s)" in capsys.readouterr().out
+        assert main([str(module)]) == 0
+        assert "repro-lint: clean" in capsys.readouterr().out
 
-        assert main([str(module), "--baseline", str(baseline)]) == 0
-        assert "1 baseline finding(s)" in capsys.readouterr().out
-
-        # A new finding is NOT absorbed by the baseline.
+        # A new finding is NOT absorbed by the existing pragma.
         module.write_text(
             module.read_text(encoding="utf-8")
             + "\n\ndef stamp2():\n    return time.monotonic()\n",
             encoding="utf-8",
         )
-        assert main([str(module), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "stamp2" not in out  # message does not name functions
-        assert "1 violation(s)" in out
+        assert main([str(module)]) == 1
+        assert "1 violation(s)" in capsys.readouterr().out
 
-    def test_justifications_survive_update(self, tmp_path, capsys):
+    def test_stale_and_unjustified_pragmas_are_detected(self, tmp_path, capsys):
         module = self._dirty_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(module), "--update-baseline", "--baseline", str(baseline)])
-        capsys.readouterr()
-
-        entries = baseline_io.load(baseline)
-        assert entries[0]["justification"] == baseline_io.TODO_JUSTIFICATION
-        entries[0]["justification"] = "known wall-clock read, display only"
-        baseline.write_text(
-            json.dumps({"entries": entries}), encoding="utf-8"
-        )
-
-        main([str(module), "--update-baseline", "--baseline", str(baseline)])
-        capsys.readouterr()
-        entries = baseline_io.load(baseline)
-        assert entries[0]["justification"] == "known wall-clock read, display only"
-
-    def test_stale_entry_reported_but_not_fatal(self, tmp_path, capsys):
-        module = self._dirty_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(module), "--update-baseline", "--baseline", str(baseline)])
-        capsys.readouterr()
-
-        # Fix the finding; the baseline entry goes stale.
-        module.write_text("def stamp():\n    return 0.0\n", encoding="utf-8")
-        assert main([str(module), "--baseline", str(baseline)]) == 0
-        captured = capsys.readouterr()
-        assert "stale baseline entry" in captured.err
-
-    def test_corrupt_baseline_is_a_hard_error(self, tmp_path, capsys):
-        module = self._dirty_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text("not json", encoding="utf-8")
-        assert main([str(module), "--baseline", str(baseline)]) == 2
-        assert "invalid JSON" in capsys.readouterr().err
-
-
-class TestIncrementalCache:
-    def test_second_run_served_from_cache_and_identical(self, tmp_path, capsys):
-        module = tmp_path / "repro" / "network" / "leaf.py"
-        module.parent.mkdir(parents=True)
-        module.write_text(
-            "import time\n\n\ndef stamp():\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        cache = tmp_path / "cache.json"
-        argv = [str(module), "--no-baseline", "--cache", str(cache)]
-
-        assert main(argv) == 1
-        first = capsys.readouterr().out
-        assert cache.is_file()
-        assert main(argv) == 1
-        assert capsys.readouterr().out == first
-
-    def test_cache_invalidated_by_file_edit(self, tmp_path, capsys):
-        module = tmp_path / "repro" / "network" / "leaf.py"
-        module.parent.mkdir(parents=True)
-        module.write_text("def stamp():\n    return 0.0\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        argv = [str(module), "--no-baseline", "--cache", str(cache)]
-
-        assert main(argv) == 0
-        capsys.readouterr()
-        module.write_text(
-            "import time\n\n\ndef stamp():\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        assert main(argv) == 1
-        assert "R1" in capsys.readouterr().out
-
-    def test_cached_suppression_accounting_survives_short_circuit(
-        self, tmp_path, capsys
-    ):
-        module = tmp_path / "repro" / "network" / "leaf.py"
-        module.parent.mkdir(parents=True)
         module.write_text(
             "import time\n\n\ndef stamp():\n"
+            "    # Display-only timestamp, never fed back into the run.\n"
+            "    return time.time()  # repro-lint: ignore[R1]\n\n\n"
+            "def stale():\n"
+            "    # Once read the clock; the read is gone.\n"
+            "    return 0.0  # repro-lint: ignore[R1]\n\n\n"
+            "def unjustified():\n"
             "    return time.time()  # repro-lint: ignore[R1]\n",
             encoding="utf-8",
         )
-        cache = tmp_path / "cache.json"
-        argv = [
-            str(module), "--no-baseline", "--cache", str(cache),
-            "--format", "json",
-        ]
-        assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert first["suppressions"] == {"R1": 1}
-        assert main(argv) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert second["suppressions"] == {"R1": 1}
-
-
-class TestSarifOutput:
-    def test_sarif_report_shape(self, capsys):
-        assert (
-            main(
-                [
-                    str(FIXTURES),
-                    "--include-fixtures",
-                    "--no-baseline",
-                    "--format",
-                    "sarif",
-                ]
-            )
-            == 1
-        )
+        assert main([str(module), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["version"] == "2.1.0"
-        run = report["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        assert [rule["id"] for rule in driver["rules"]] == list(RULES)
-        results = run["results"]
-        assert len(results) == len(RULES) + 2  # R6 fires three times
-        for result in results:
-            assert result["ruleId"] in RULES
-            location = result["locations"][0]["physicalLocation"]
-            assert location["region"]["startLine"] >= 1
-            assert location["region"]["startColumn"] >= 1
-            assert location["artifactLocation"]["uri"]
-        # ruleIndex must agree with the rules array.
-        for result in results:
-            index = result["ruleIndex"]
-            assert driver["rules"][index]["id"] == result["ruleId"]
+        tally, unjustified = _pragma_audit([tmp_path])
+        assert tally == {"R1": 3}
+        assert report["suppressions"] == {"R1": 2}  # the stale one shows
+        assert unjustified == [f"{module}:15"]
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--cache",
+            "--baseline=x.json",
+            "--no-baseline",
+            "--update-baseline",
+            "--format=sarif",
+        ],
+    )
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([str(REPO_ROOT / "src"), flag])
+        assert exc.value.code == 2
+        assert flag.rpartition("=")[2] in capsys.readouterr().err
 
 
 class TestSuppressions:

@@ -68,6 +68,27 @@ class TestIdleAndInjection:
         harness.router.offer_packet(Packet(0, 1, 5, 0))
         assert not harness.router.is_idle
 
+    def test_injected_flits_match_make_flits(self):
+        # The injection stage materializes flits inline, recycling pooled
+        # ones; Packet.make_flits is the reference it must match field
+        # for field.
+        def fields(flits):
+            return [
+                (f.packet, f.index, f.is_head, f.is_tail, f.buffer_arrival_cycle)
+                for f in flits
+            ]
+
+        harness = Harness()
+        stale = Packet(0, 1, 3, 0).make_flits()
+        for flit in stale:
+            flit.buffer_arrival_cycle = 99
+        harness.router.flit_pool = stale[:2]
+        packet = Packet(0, 1, 5, 0)
+        harness.router.offer_packet(packet)
+        harness.router.step(0)
+        assert fields(harness.router.inj_flits) == fields(packet.make_flits())
+        assert harness.router.flit_pool == []
+
     def test_injects_one_flit_per_cycle(self):
         harness = Harness()
         harness.router.offer_packet(Packet(0, 1, 5, 0))
@@ -117,7 +138,7 @@ class TestLaunch:
         out_port = harness.topology.plus_port(0)
         state = harness.router.credit_states[out_port]
         for vc in range(2):
-            state.consume(vc)
+            state.credits[vc] -= 1
         packet = Packet(0, 1, 1, 0)
         (flit,) = packet.make_flits()
         harness.place(flit)
@@ -161,7 +182,7 @@ class TestCreditHandling:
         harness = Harness()
         out_port = harness.topology.plus_port(0)
         state = harness.router.credit_states[out_port]
-        state.consume(0)
+        state.credits[0] -= 1
         harness.router.on_credit(out_port, 0, is_tail=False)
         assert state.credits[0] == state.capacity_per_vc
 

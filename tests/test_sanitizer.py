@@ -47,6 +47,27 @@ class TestMutationKernels:
             simulator.run_until(330)
         assert exc.value.rule == "flit-conservation"
 
+    def test_occupancy_tracker_drift_is_caught(self):
+        simulator = Simulator(small_config(rate=0.3), sanitize=True)
+        simulator.run_until(300)
+        router = next(iter(simulator.iter_active_routers()))
+        port = next(
+            p for p, tracker in enumerate(router.occupancy) if tracker is not None
+        )
+        router.occupancy[port].occupied += 1  # the controller's BU input
+        with pytest.raises(SanitizerViolation) as exc:
+            simulator.run_until(330)
+        assert exc.value.rule == "occupancy"
+        assert (exc.value.node, exc.value.port) == (router.node, port)
+
+    def test_event_counter_drift_is_caught(self):
+        simulator = Simulator(small_config(rate=0.3), sanitize=True)
+        simulator.run_until(300)
+        simulator._counters[0] += 1  # drain would wait forever
+        with pytest.raises(SanitizerViolation) as exc:
+            simulator.run_until(330)
+        assert exc.value.rule == "event-counters"
+
     def test_two_step_dvs_jump_is_caught(self):
         simulator = Simulator(small_config(rate=0.2), sanitize=True)
         simulator.run_until(100)
